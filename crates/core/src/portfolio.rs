@@ -13,19 +13,21 @@
 //! ## Acceptability
 //!
 //! The race is only decided by **proven terminal** answers
-//! ([`RefinementOutcome::is_proven_terminal`]): an optimal refinement or a
-//! proof that none exists *under that backend's semantics*. Interrupted or
-//! limit-struck results never win. When no entrant produces an acceptable
-//! answer (e.g. the caller's own deadline struck first), the race falls back
-//! to the first entrant's result — the MILP backend in the default portfolio
-//! — with [`PortfolioRace::winner`] left `None`.
+//! ([`RefinementOutcome::is_proven_terminal`]) — an optimal refinement or a
+//! proof that none exists — from an entrant that answers the request's own
+//! question. Interrupted or limit-struck results never win. When no entrant
+//! produces an acceptable answer (e.g. the caller's own deadline struck
+//! first), the race falls back to the first entrant's result — the MILP
+//! backend in the default portfolio — with [`PortfolioRace::winner`] left
+//! `None`.
 //!
-//! Note the baseline caveat carried over from the paper: the Erica-style
-//! backend answers the whole-output variant of the question (exact
-//! constraint satisfaction, output size forced to k*), so its "optimal" is
-//! optimal over a more constrained space. Callers who want answer parity
-//! rather than answer speed should race MILP against `Naive+prov` only
-//! ([`RefinementSession::solve_portfolio_with`]).
+//! The Erica-style backend answers the whole-output variant of the question
+//! (exact constraint satisfaction, output size forced to k*, the baseline
+//! caveat carried over from the paper), so its "optimal" is optimal over a
+//! more constrained space and its "infeasible" proves nothing about the
+//! top-k question: on the paper example at ε = 0 it proves infeasibility
+//! while a distance-0.5 refinement exists. Its answers are kept in
+//! [`PortfolioRace::entries`] but never decide a race.
 //!
 //! ## Control composition
 //!
@@ -84,6 +86,13 @@ impl PortfolioBackend {
             PortfolioBackend::Erica => "Erica-style",
         }
     }
+
+    /// Whether this backend's proofs are about the request's own top-k
+    /// question, so that its proven answer may decide a race (see the
+    /// [module docs](self)).
+    fn answers_the_request(self) -> bool {
+        !matches!(self, PortfolioBackend::Erica)
+    }
 }
 
 impl std::fmt::Display for PortfolioBackend {
@@ -129,8 +138,9 @@ pub struct PortfolioRace {
 impl RefinementSession {
     /// Race the MILP engine, the exhaustive provenance search and the
     /// Erica-style baseline on one request; return the first proven-terminal
-    /// answer and cancel the rest. See the [module docs](self) for
-    /// acceptability and the Erica semantics caveat.
+    /// answer to the request's own question and cancel the rest. See the
+    /// [module docs](self) for acceptability and why the Erica-style entrant
+    /// never decides.
     ///
     /// ```
     /// use qr_core::paper_example::{paper_database, scholarship_constraints, scholarship_query};
@@ -193,12 +203,14 @@ impl RefinementSession {
                     .clone()
                     .with_control(request.control.clone().with_cancel_token(race.clone()));
                 let (race, winner, finished, slot) = (&race, &winner, &finished, &slots[i]);
+                let decisive = entrants[i].0.answers_the_request();
                 scope.spawn(move || {
                     let outcome = solver.solve(self, &entrant_request);
-                    let acceptable = outcome
-                        .as_ref()
-                        .map(|r| r.outcome.is_proven_terminal())
-                        .unwrap_or(false);
+                    let acceptable = decisive
+                        && outcome
+                            .as_ref()
+                            .map(|r| r.outcome.is_proven_terminal())
+                            .unwrap_or(false);
                     if acceptable
                         && winner
                             .compare_exchange(usize::MAX, i, Ordering::AcqRel, Ordering::Acquire)

@@ -298,7 +298,9 @@ pub struct StatsAggregate {
     pub portfolio_wins_milp: usize,
     /// Portfolio races won by the exhaustive provenance backend.
     pub portfolio_wins_naive: usize,
-    /// Portfolio races won by the Erica-style whole-output backend.
+    /// Portfolio races won by the Erica-style whole-output backend. Always
+    /// 0: its proofs are about the whole-output question, so it never
+    /// decides a race.
     pub portfolio_wins_erica: usize,
     /// Largest MILP (variables) seen.
     pub max_variables: usize,

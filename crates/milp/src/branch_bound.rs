@@ -27,7 +27,7 @@ use crate::basis::Basis;
 use crate::control::{SolveControl, SolveProgress, StopCondition};
 use crate::error::{MilpError, Result};
 use crate::model::{Model, VarType};
-use crate::propagate::{box_objective_bound, propagate, PropagationResult};
+use crate::propagate::{box_objective_bound, PropagationResult, Propagator};
 use crate::resume::{model_fingerprint, FrontierNode as Node, ResumeState};
 use crate::simplex::{LpSolution, LpStatus, LpWorkspace};
 use crate::solution::{Solution, SolveStats, SolveStatus};
@@ -337,6 +337,7 @@ impl Solver {
         // factorization makes first-child warm starts nearly free.
         let mut workspace = LpWorkspace::new(model)?;
         stats.matrix_nnz = workspace.matrix_nnz();
+        let mut propagator = Propagator::new(model);
 
         let mut incumbent: Option<(f64, Vec<f64>)> = None;
         let mut limit_hit = false;
@@ -347,6 +348,7 @@ impl Solver {
             upper: root_upper,
             parent_bound: f64::NEG_INFINITY,
             parent_basis: None,
+            propagation_seed: None,
         }];
         let mut root_processed = false;
         // Nodes processed by earlier segments of a resumed search. The dive
@@ -371,6 +373,12 @@ impl Solver {
             stats.nodes_restored = frontier.len();
             stats.best_bound = best_bound;
             stack = frontier;
+            // Restored nodes sweep fully: a seed is a promise made by the
+            // run that produced the parent's bounds, and a checkpoint is
+            // opaque — resuming must not depend on how it was captured.
+            for node in &mut stack {
+                node.propagation_seed = None;
+            }
             incumbent = seeded_incumbent;
             root_processed = seeded_root;
             prior_nodes = seeded_nodes;
@@ -436,6 +444,7 @@ impl Solver {
                 mut upper,
                 parent_bound,
                 parent_basis,
+                propagation_seed,
             } = node;
             stats.nodes += 1;
             // `halt` marks the two mid-node push-back exits below: the node
@@ -450,12 +459,22 @@ impl Solver {
                     }
                 }
 
-                // Node presolve: bound propagation.
+                // Node presolve: bound propagation. A run that ends at a
+                // fixpoint lets the children seed theirs with the branched
+                // variable alone.
+                let mut at_fixpoint = false;
                 if opts.use_propagation {
-                    match propagate(model, &mut lower, &mut upper, opts.propagation_passes) {
-                        PropagationResult::Infeasible => break 'processed,
-                        PropagationResult::Consistent => {}
+                    let run = propagator.run(
+                        &workspace,
+                        &mut lower,
+                        &mut upper,
+                        opts.propagation_passes,
+                        propagation_seed,
+                    );
+                    if run.result == PropagationResult::Infeasible {
+                        break 'processed;
                     }
+                    at_fixpoint = run.fixpoint;
                 }
 
                 // Cheap box bound before paying for an LP.
@@ -482,7 +501,7 @@ impl Solver {
                     &lp_stop,
                     &mut stats,
                 )?;
-                if std::env::var_os("QR_MILP_DEBUG").is_some() {
+                if crate::debug_trace() {
                     eprintln!(
                     "[qr-milp] node {} lp {:?} iters {} ({}) in {:?} (stack {}, incumbent {:?})",
                     stats.nodes,
@@ -510,6 +529,7 @@ impl Solver {
                         upper,
                         parent_bound,
                         parent_basis,
+                        propagation_seed: None,
                     });
                     // The popped node was counted above but not processed; hand
                     // the count back so chain node totals stay comparable to the
@@ -640,6 +660,7 @@ impl Solver {
                             if let Some((obj, values)) = self.structure_dive(
                                 model,
                                 &mut workspace,
+                                &mut propagator,
                                 &integer_vars,
                                 &priority_tiers,
                                 &lp_values,
@@ -679,6 +700,7 @@ impl Solver {
                                     upper,
                                     parent_bound,
                                     parent_basis,
+                                    propagation_seed: None,
                                 });
                                 stats.nodes -= 1;
                                 interrupted = true;
@@ -689,6 +711,7 @@ impl Solver {
 
                         let floor_val = frac_value.floor();
                         let ceil_val = frac_value.ceil();
+                        let propagation_seed = at_fixpoint.then_some(var_idx);
 
                         // Down child: var <= floor, Up child: var >= ceil.
                         let mut down_upper = upper.clone();
@@ -698,6 +721,7 @@ impl Solver {
                             upper: down_upper,
                             parent_bound: node_bound,
                             parent_basis: node_basis.clone(),
+                            propagation_seed,
                         };
 
                         let mut up_lower = lower.clone();
@@ -707,6 +731,7 @@ impl Solver {
                             upper,
                             parent_bound: node_bound,
                             parent_basis: node_basis,
+                            propagation_seed,
                         };
 
                         // Explore the child closer to the LP value first (pushed last).
@@ -817,6 +842,7 @@ impl Solver {
         &self,
         model: &Model,
         workspace: &mut LpWorkspace,
+        propagator: &mut Propagator,
         integer_vars: &[usize],
         priority_tiers: &[Vec<usize>],
         lp_values: &[f64],
@@ -839,7 +865,9 @@ impl Solver {
         for (tier_idx, tier) in priority_tiers.iter().enumerate() {
             fix_rounded(tier, &values, &mut lo, &mut up);
             if opts.use_propagation
-                && propagate(model, &mut lo, &mut up, opts.propagation_passes)
+                && propagator
+                    .run(workspace, &mut lo, &mut up, opts.propagation_passes, None)
+                    .result
                     == PropagationResult::Infeasible
             {
                 return Ok(None);
@@ -858,7 +886,9 @@ impl Solver {
                     &mut up,
                 );
                 if opts.use_propagation
-                    && propagate(model, &mut lo, &mut up, opts.propagation_passes)
+                    && propagator
+                        .run(workspace, &mut lo, &mut up, opts.propagation_passes, None)
+                        .result
                         == PropagationResult::Infeasible
                 {
                     return Ok(None);

@@ -38,7 +38,8 @@
 //!   complete statistics.
 //!
 //! Set `QR_MILP_DEBUG=1` to trace phase transitions, warm-start outcomes and
-//! per-node LP statistics on stderr.
+//! per-node LP statistics on stderr. The variable is read once per process,
+//! at the first solve that consults it.
 //!
 //! The solver targets the problem sizes produced by `qr-core` (hundreds to a
 //! few thousand variables). It is exact: if it reports
@@ -101,6 +102,14 @@ pub mod prelude {
     pub use crate::model::{Model, Sense, VarId, VarType};
     pub use crate::resume::ResumeState;
     pub use crate::solution::{Solution, SolveStatus};
+}
+
+/// Whether `QR_MILP_DEBUG` was set when the solver first asked. Read once per
+/// process: the traces are consulted on the per-node and per-pivot paths,
+/// where an environment lookup per call is measurable.
+pub(crate) fn debug_trace() -> bool {
+    static DEBUG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *DEBUG.get_or_init(|| std::env::var_os("QR_MILP_DEBUG").is_some())
 }
 
 // The concurrent-service contract: everything a worker thread needs to share

@@ -12,6 +12,17 @@
 //! basis factorizes in near-`O(nnz)` elimination work with
 //! `nnz(L) + nnz(U)` close to `nnz(B)`.
 //!
+//! **Singleton index.** Most steps on a refinement basis eliminate a
+//! singleton column, and the pivot rule takes the first one (in ascending
+//! basis-slot order) whose entry is usable. Rather than rescanning every
+//! slot from slot 0 at each step — `O(m²)` per factorization — the scratch
+//! keeps a bitset with one bit per slot, set exactly when the slot is still
+//! active and holds one entry. Every write to a column count or a done flag
+//! re-derives that slot's bit, so the first usable singleton is found by
+//! word scans over `m / 64` words, and it is the same `(slot, index)` the
+//! full scan picks (builds with debug assertions check this at every step).
+//! Steps without a usable singleton keep the bounded Markowitz scan.
+//!
 //! The factors support the two solves the revised simplex needs:
 //!
 //! * [`LuFactors::ftran`] — solve `B x = b` (entering column / basic values),
@@ -84,11 +95,52 @@ pub struct LuScratch {
     col_count: Vec<usize>,
     row_done: Vec<bool>,
     col_done: Vec<bool>,
+    /// Singleton index: bit `slot` is set exactly when the slot is active
+    /// (`!col_done`) and `col_count == 1`. Kept in step with every
+    /// `col_count` and `col_done` write via [`LuScratch::sync_singleton`].
+    singletons: Vec<u64>,
     /// Dense index: position+1 of each row in the column currently being
     /// updated (0 = absent).
     pos_of_row: Vec<usize>,
     /// U columns under construction, per slot: entries (step, value).
     u_build: Vec<Vec<(usize, f64)>>,
+}
+
+impl LuScratch {
+    /// Re-derive `slot`'s bit in the singleton index after its count or
+    /// done flag changed.
+    fn sync_singleton(&mut self, slot: usize) {
+        let bit = 1u64 << (slot % 64);
+        if !self.col_done[slot] && self.col_count[slot] == 1 {
+            self.singletons[slot / 64] |= bit;
+        } else {
+            self.singletons[slot / 64] &= !bit;
+        }
+    }
+
+    /// The live entry of singleton column `slot`: its entry on an active row
+    /// with magnitude at least the absolute pivot tolerance, if any.
+    fn live_singleton_entry(&self, slot: usize) -> Option<usize> {
+        self.cols[slot]
+            .iter()
+            .position(|&(r, v)| !self.row_done[r] && v.abs() >= ABS_PIVOT_TOL)
+    }
+
+    /// The first singleton column in ascending slot order that has a live
+    /// entry, found by word scans over the singleton index.
+    fn first_live_singleton(&self) -> Option<(usize, usize)> {
+        for (word_idx, &word) in self.singletons.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let slot = word_idx * 64 + bits.trailing_zeros() as usize;
+                if let Some(idx) = self.live_singleton_entry(slot) {
+                    return Some((slot, idx));
+                }
+                bits &= bits - 1;
+            }
+        }
+        None
+    }
 }
 
 impl LuFactors {
@@ -127,6 +179,8 @@ impl LuFactors {
         ws.row_done.resize(m, false);
         ws.col_done.clear();
         ws.col_done.resize(m, false);
+        ws.singletons.clear();
+        ws.singletons.resize(m.div_ceil(64), 0);
         ws.pos_of_row.clear();
         ws.pos_of_row.resize(m, 0);
         for slot in 0..m {
@@ -147,6 +201,7 @@ impl LuFactors {
                 ws.row_count[row] += 1;
             }
             ws.col_count[slot] = ws.cols[slot].len();
+            ws.sync_singleton(slot);
             if ws.cols[slot].is_empty() {
                 return false; // structurally singular: empty column
             }
@@ -168,6 +223,7 @@ impl LuFactors {
             self.row_pos[p_row] = step;
             ws.row_done[p_row] = true;
             ws.col_done[p_slot] = true;
+            ws.sync_singleton(p_slot);
 
             // L column: the pivot column's other active entries, scaled.
             let col = std::mem::take(&mut ws.cols[p_slot]);
@@ -198,6 +254,7 @@ impl LuFactors {
                 };
                 let (_, val) = ws.cols[slot].swap_remove(idx);
                 ws.col_count[slot] -= 1;
+                ws.sync_singleton(slot);
                 u_row.push((slot, val));
                 ws.u_build[slot].push((step, val));
             }
@@ -222,6 +279,7 @@ impl LuFactors {
                         ws.row_slots[row].push(slot);
                         ws.row_count[row] += 1;
                         ws.col_count[slot] += 1;
+                        ws.sync_singleton(slot);
                     } else {
                         ws.cols[slot][pos - 1].1 += delta;
                     }
@@ -235,6 +293,7 @@ impl LuFactors {
                         ws.cols[slot].swap_remove(idx);
                         ws.col_count[slot] -= 1;
                         ws.row_count[row] -= 1;
+                        ws.sync_singleton(slot);
                         // swap_remove moved an unvisited entry into idx; its
                         // pos_of_row entry is cleared when idx reaches it.
                     } else {
@@ -264,31 +323,36 @@ impl LuFactors {
     /// active columns and return the `(slot, index_in_column)` of the entry
     /// with the lowest Markowitz count that passes the stability threshold.
     ///
-    /// The candidate columns are found in a single pass over the active
-    /// slots, and a *singleton* column (count 1 — a unit logical column or a
-    /// row already reduced to one entry, the common case on the refinement
-    /// bases) short-circuits the pass entirely: its pivot has Markowitz cost
-    /// 0 and cannot be beaten. Non-singleton steps still pay one O(active)
-    /// scan — bounded Markowitz, not strict O(nnz), which is fine at the
-    /// basis sizes the refinement MILPs produce.
+    /// A *singleton* column (count 1 — a unit logical column or a column
+    /// already reduced to one entry, the common case on the refinement
+    /// bases) wins outright: its pivot has Markowitz cost 0 and cannot be
+    /// beaten. The first one with a live entry in ascending slot order is
+    /// read off the singleton index in `O(m / 64)` word scans. Only steps
+    /// without one pay the `O(active)` scan for the sparsest columns —
+    /// bounded Markowitz, not strict O(nnz), which is fine at the basis sizes
+    /// the refinement MILPs produce.
     fn select_pivot(&self, ws: &LuScratch, m: usize) -> Option<(usize, usize)> {
+        let singleton = ws.first_live_singleton();
+        #[cfg(debug_assertions)]
+        {
+            // The index must pick what a scan of every active slot picks.
+            let scanned = (0..m)
+                .filter(|&slot| !ws.col_done[slot] && ws.col_count[slot] == 1)
+                .find_map(|slot| ws.live_singleton_entry(slot).map(|idx| (slot, idx)));
+            debug_assert_eq!(singleton, scanned, "singleton index out of step");
+        }
+        if singleton.is_some() {
+            return singleton;
+        }
+
         // One pass collecting the SEARCH_COLS smallest column counts
-        // (insertion into a fixed-size array), with singleton early-exit.
+        // (insertion into a fixed-size array). Every singleton left is
+        // numerically dead and is skipped.
         let mut chosen: [usize; SEARCH_COLS] = [usize::MAX; SEARCH_COLS];
         let mut n_chosen = 0usize;
         for slot in 0..m {
-            if ws.col_done[slot] {
+            if ws.col_done[slot] || ws.col_count[slot] == 1 {
                 continue;
-            }
-            if ws.col_count[slot] == 1 {
-                let col = &ws.cols[slot];
-                if let Some(idx) = col
-                    .iter()
-                    .position(|&(r, v)| !ws.row_done[r] && v.abs() >= ABS_PIVOT_TOL)
-                {
-                    return Some((slot, idx));
-                }
-                continue; // numerically dead singleton; fall through
             }
             let mut insert = n_chosen;
             while insert > 0 && ws.col_count[slot] < ws.col_count[chosen[insert - 1]] {
@@ -415,7 +479,7 @@ impl LuFactors {
 mod tests {
     use super::*;
     use crate::factor::SparseMatrix;
-    use crate::tol::ASSERT_TIGHT_TOL;
+    use crate::tol::{ASSERT_TIGHT_TOL, ASSERT_TOL};
 
     fn matrix_from_dense(dense: &[&[f64]]) -> SparseMatrix {
         let m = dense.len();
@@ -469,6 +533,108 @@ mod tests {
             let (rows, vals) = mat.column(col);
             let acc: f64 = rows.iter().zip(vals).map(|(&r, &v)| v * y[r]).sum();
             assert!((acc - c[slot]).abs() < ASSERT_TIGHT_TOL, "slot {slot}");
+        }
+    }
+
+    /// Random bases shaped like the refinement ones: a share of unit
+    /// (logical) columns plus a sparse nonsingular block that fills in
+    /// during elimination, with rows and basis slots shuffled so singletons
+    /// sit at arbitrary slots. Each is nonsingular by construction
+    /// (`[I X; 0 A]` up to permutation, `A = L·U`); the solves must
+    /// reproduce their right-hand sides, and in builds with debug assertions
+    /// every pivot step cross-checks the singleton index against a full scan.
+    #[test]
+    #[allow(clippy::needless_range_loop)]
+    fn random_sparse_bases_factorize_and_solve() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // A uniform draw in [0, 1).
+        fn unit(next: &mut impl FnMut() -> u64) -> f64 {
+            (next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+        for _case in 0..300 {
+            let m = 2 + (next() % 60) as usize;
+            let units = (next() % (m as u64 + 1)) as usize;
+            let block = m - units;
+            let density = 0.05 + (next() % 40) as f64 / 100.0;
+
+            // A = L·U over the block, sparse through L's and U's density.
+            let mut l = vec![vec![0.0; block]; block];
+            let mut u = vec![vec![0.0; block]; block];
+            for i in 0..block {
+                l[i][i] = 1.0;
+                u[i][i] = 0.5 + 2.5 * unit(&mut next);
+                for j in 0..block {
+                    if j != i && unit(&mut next) < density {
+                        let v = 4.0 * unit(&mut next) - 2.0;
+                        if j < i {
+                            l[i][j] = v;
+                        } else {
+                            u[i][j] = v;
+                        }
+                    }
+                }
+            }
+            let mut rows: Vec<usize> = (0..m).collect();
+            for i in (1..m).rev() {
+                rows.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            let mut cols: Vec<Vec<(usize, f64)>> =
+                (0..units).map(|j| vec![(rows[j], 1.0)]).collect();
+            for j in 0..block {
+                let mut col = Vec::new();
+                for row in rows.iter().take(units) {
+                    if unit(&mut next) < density {
+                        col.push((*row, 4.0 * unit(&mut next) - 2.0));
+                    }
+                }
+                for i in 0..block {
+                    let v: f64 = (0..block).map(|k| l[i][k] * u[k][j]).sum();
+                    if v != 0.0 {
+                        col.push((rows[units + i], v));
+                    }
+                }
+                cols.push(col);
+            }
+            let mat = SparseMatrix::from_columns(m, &cols);
+            let mut basis: Vec<usize> = (0..m).collect();
+            for i in (1..m).rev() {
+                basis.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+
+            let mut lu = LuFactors::default();
+            let mut ws = LuScratch::default();
+            assert!(
+                lu.factorize(&mat, &basis, &mut ws),
+                "nonsingular basis rejected"
+            );
+            let b: Vec<f64> = (0..m).map(|_| 10.0 * unit(&mut next) - 5.0).collect();
+            let mut x = b.clone();
+            lu.ftran(&mut x);
+            let mut bx = vec![0.0; m];
+            for (slot, &col) in basis.iter().enumerate() {
+                mat.scatter_column(col, x[slot], &mut bx);
+            }
+            for (row, (&got, &want)) in bx.iter().zip(&b).enumerate() {
+                assert!(
+                    (got - want).abs() < ASSERT_TOL * (1.0 + want.abs()),
+                    "ftran row {row}"
+                );
+            }
+            let mut y = b.clone();
+            lu.btran(&mut y);
+            for (slot, &col) in basis.iter().enumerate() {
+                let got = mat.column_dot(col, &y);
+                assert!(
+                    (got - b[slot]).abs() < ASSERT_TOL * (1.0 + b[slot].abs()),
+                    "btran slot {slot}"
+                );
+            }
         }
     }
 

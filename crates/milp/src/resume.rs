@@ -35,6 +35,10 @@ pub(crate) struct FrontierNode {
     pub(crate) upper: Vec<f64>,
     pub(crate) parent_bound: f64,
     pub(crate) parent_basis: Option<Arc<Basis>>,
+    /// `Some(j)`: the parent's propagation ended at a fixpoint and this box
+    /// differs from the parent's propagated bounds only in `x_j`, so this
+    /// node's propagation may start from `x_j`'s rows alone.
+    pub(crate) propagation_seed: Option<usize>,
 }
 
 /// Opaque checkpoint of an interrupted branch-and-bound solve.

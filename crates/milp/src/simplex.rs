@@ -104,8 +104,8 @@ pub use crate::tol::FEAS_TOL;
 /// Pivot element magnitude below which a pivot is rejected.
 pub(crate) use crate::tol::PIVOT_TOL;
 use crate::tol::{
-    COST_TOL, PERTURBATION_SCALE, PHASE1_INFEAS_TOL, SNAPSHOT_PIVOT_TOL, VERIFY_BOUND_TOL,
-    VERIFY_ROW_TOL, ZERO_TOL,
+    COST_TOL, DEVEX_RESET_WEIGHT, PERTURBATION_SCALE, PHASE1_INFEAS_TOL, SNAPSHOT_PIVOT_TOL,
+    VERIFY_BOUND_TOL, VERIFY_ROW_TOL, ZERO_TOL,
 };
 /// Partial pricing scans at least this many columns per pivot before
 /// settling on the best candidate seen.
@@ -134,7 +134,7 @@ pub struct LpWorkspace {
     /// columns included.
     pub(crate) matrix: SparseMatrix,
     pub(crate) rhs: Vec<f64>,
-    senses: Vec<Sense>,
+    pub(crate) senses: Vec<Sense>,
     /// Bounds of the logical columns (entries `>= n_struct`; structural
     /// entries are placeholders overwritten per solve).
     core_lower: Vec<f64>,
@@ -254,6 +254,17 @@ impl LpWorkspace {
     /// denominator of the LU fill-in health metric.
     pub fn matrix_nnz(&self) -> usize {
         self.matrix.nnz() - self.n_rows
+    }
+
+    /// Row `i`'s structural entries `(columns, values)`, in ascending column
+    /// order. Every row's two unit columns (its logical, then its
+    /// artificial) sort after all structural columns, so they are the last
+    /// two entries of the CSR row.
+    pub(crate) fn structural_row(&self, i: usize) -> (&[usize], &[f64]) {
+        let (cols, vals) = self.matrix.row(i);
+        let end = cols.len() - 2;
+        debug_assert!(cols[..end].iter().all(|&j| j < self.n_struct));
+        (&cols[..end], &vals[..end])
     }
 
     /// Current position of the rotating partial-pricing window. Captured into
@@ -490,7 +501,7 @@ impl LpWorkspace {
             }
             Err(e) => return Err(e),
         };
-        let debug = std::env::var_os("QR_MILP_DEBUG").is_some();
+        let debug = crate::debug_trace();
         match dual_status {
             DualStatus::Infeasible => {
                 // An infeasibility certificate prunes a subtree, so only
@@ -575,7 +586,7 @@ impl LpWorkspace {
     ) -> Result<LpSolution> {
         self.basis_valid = false;
         let m = self.n_rows;
-        let debug = std::env::var_os("QR_MILP_DEBUG").is_some();
+        let debug = crate::debug_trace();
 
         // (The crash below re-frees the artificials phase 1 needs.)
         self.load_bounds(lower, upper);
@@ -1003,7 +1014,7 @@ impl LpWorkspace {
                 perturbed = true;
                 perturbation_rounds += 1;
                 degenerate_streak = 0;
-                if std::env::var_os("QR_MILP_DEBUG").is_some() {
+                if crate::debug_trace() {
                     eprintln!(
                         "[qr-milp]   iter {phase_iters}: cost perturbation round {perturbation_rounds}"
                     );
@@ -1196,7 +1207,11 @@ impl LpWorkspace {
                     self.reduced[enter_col] = 0.0;
                     self.devex[leave_col] = (gamma / (alpha_rq * alpha_rq)).max(1.0);
                     self.devex[enter_col] = 1.0;
-                    if self.devex.iter().any(|&w| w > 1e8) {
+                    // Only the entries written above can have crossed the
+                    // threshold: every weight was at or below it after the
+                    // previous pivot's check, and nothing else writes them.
+                    let crossed = |j: usize| self.devex[j] > DEVEX_RESET_WEIGHT;
+                    if crossed(leave_col) || self.pivot_touched.iter().any(|&j| crossed(j)) {
                         // Reference framework reset keeps weights meaningful.
                         self.devex.iter_mut().for_each(|w| *w = 1.0);
                     }
@@ -1216,7 +1231,7 @@ impl LpWorkspace {
             // Periodically refresh reduced costs to limit drift.
             if phase_iters.is_multiple_of(256) {
                 self.refresh_reduced();
-                if phase_iters.is_multiple_of(2048) && std::env::var_os("QR_MILP_DEBUG").is_some() {
+                if phase_iters.is_multiple_of(2048) && crate::debug_trace() {
                     let obj: f64 = (0..n)
                         .map(|j| {
                             let v = match self.status[j] {

@@ -113,6 +113,13 @@ pub const LU_ABS_PIVOT_TOL: f64 = 1e-11;
 /// sparsity freedom for bounded element growth.
 pub const LU_REL_PIVOT_TOL: f64 = 0.05;
 
+/// Devex reference-framework reset threshold: when a pivot pushes any devex
+/// weight above this, every weight is reset to 1. Weights grow as squared
+/// pivot-row ratios, so past ~1e8 the pricing score `d_j² / w_j` of those
+/// columns has lost the digits that ranked them, and the approximation to
+/// steepest edge is better restarted than extended.
+pub const DEVEX_RESET_WEIGHT: f64 = 1e8;
+
 /// Tolerance for considering an LP value integral (branching, rounding
 /// dives, incumbent rounding). Matches the paper setup's CPLEX default
 /// integrality tolerance; must stay above [`FEAS_TOL`] so a value the LP
